@@ -34,4 +34,4 @@ pub use packet::{
 };
 pub use pool::{BufferPool, PacketPool};
 pub use switch::{EcmpMode, Switch};
-pub use topology::{ClosSpec, DomainPartition, ThreeTierSpec, Topology, TopologyBuilder};
+pub use topology::{ClosSpec, ThreeTierSpec, Topology, TopologyBuilder};

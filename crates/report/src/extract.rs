@@ -6,15 +6,10 @@
 //! `traces/`. This module loads both and projects them into the typed
 //! figure specs.
 //!
-//! Two normalizations keep figures behavioral (identical across workers
-//! and shard counts):
-//!
-//! * the `/shN` label suffix is stripped — shard count is a performance
-//!   axis whose rows are digest-identical to serial rows, so a campaign
-//!   sweeping shards would otherwise plot the same behavior twice;
-//! * machine-dependent row fields (`wall_ms`, `events_per_sec`) are never
-//!   read by figure extraction (the HTML report plots them separately,
-//!   outside the gated artifacts).
+//! Figures stay behavioral (identical across worker counts): the
+//! machine-dependent row fields (`wall_ms`, `events_per_sec`) are never
+//! read by figure extraction (the HTML report plots them separately,
+//! outside the gated artifacts).
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -36,20 +31,8 @@ pub struct CampaignData {
     /// Table rows in grid order (as written by `lab run`).
     pub rows: Vec<Row>,
     /// Telemetry traces of `[[trace]]`-flagged points, keyed by the
-    /// point's base label (shard suffix stripped), in label order.
+    /// point's label, in label order.
     pub traces: BTreeMap<String, TelemetryReport>,
-}
-
-/// Strip the `/shN` engine suffix from a grid label: shard count never
-/// changes behavior (digests are pinned identical), so figures treat
-/// sharded rows as the same point.
-pub fn base_label(label: &str) -> &str {
-    match label.rfind("/sh") {
-        Some(i) if label[i + 3..].chars().all(|c| c.is_ascii_digit()) && i + 3 < label.len() => {
-            &label[..i]
-        }
-        _ => label,
-    }
 }
 
 /// The grid coordinates figures group by, parsed back out of a label
@@ -67,9 +50,9 @@ pub struct LabelParts {
 }
 
 impl LabelParts {
-    /// Parse a (base) label; `None` for labels not in grid form.
+    /// Parse a label; `None` for labels not in grid form.
     pub fn parse(label: &str) -> Option<LabelParts> {
-        let parts: Vec<&str> = base_label(label).split('/').collect();
+        let parts: Vec<&str> = label.split('/').collect();
         if parts.len() < 6 {
             return None;
         }
@@ -105,14 +88,11 @@ impl CampaignData {
         })
     }
 
-    /// Rows that completed, deduplicated by base label (first in grid
-    /// order wins — sharded re-runs of a point are digest-identical).
+    /// Rows that completed, in grid order.
     pub fn ok_rows(&self) -> Vec<&Row> {
-        let mut seen = std::collections::BTreeSet::new();
         self.rows
             .iter()
             .filter(|r| r.status == RowStatus::Ok)
-            .filter(|r| seen.insert(base_label(&r.label).to_string()))
             .collect()
     }
 
@@ -177,7 +157,7 @@ impl CampaignData {
             .iter()
             .filter(|r| r.probe_rounds > 0)
             .map(|r| ProbePoolRow {
-                label: base_label(&r.label).to_string(),
+                label: r.label.clone(),
                 rounds: r.probe_rounds,
                 samples: r.probe_samples,
                 hot: r.probe_hot,
@@ -315,8 +295,7 @@ fn load_traces(dir: &Path, rows: &[Row]) -> BTreeMap<String, TelemetryReport> {
         let Ok(text) = std::fs::read_to_string(&path) else {
             continue;
         };
-        out.entry(base_label(&row.label).to_string())
-            .or_insert_with(|| TelemetryReport::from_jsonl(&text));
+        out.insert(row.label.clone(), TelemetryReport::from_jsonl(&text));
     }
     out
 }
@@ -352,22 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn base_label_strips_only_shard_suffixes() {
-        assert_eq!(
-            base_label("presto/testbed16/stride:8/none/cell64k/s1/sh8"),
-            "presto/testbed16/stride:8/none/cell64k/s1"
-        );
-        assert_eq!(
-            base_label("presto/testbed16/stride:8/none/cell64k/s1"),
-            "presto/testbed16/stride:8/none/cell64k/s1"
-        );
-        // `/sh` with no digits is not an engine suffix.
-        assert_eq!(base_label("a/sh"), "a/sh");
-    }
-
-    #[test]
     fn label_parts_parse_grid_labels() {
-        let p = LabelParts::parse("ecmp/testbed16/websearch:1/linkdown:20/cell64k/s2/sh4")
+        let p = LabelParts::parse("ecmp/testbed16/websearch:1/linkdown:20/cell64k/s2/cc:dctcp")
             .expect("parses");
         assert_eq!(p.scheme, "ecmp");
         assert_eq!(p.workload, "websearch:1");
@@ -492,23 +457,5 @@ mod tests {
             .expect("probe figure present");
         assert_eq!(pool.rows.len(), 1);
         assert_eq!((pool.rows[0].hot, pool.rows[0].cold), (80, 240));
-    }
-
-    #[test]
-    fn sharded_duplicate_rows_collapse() {
-        let data = CampaignData {
-            campaign: "t".into(),
-            rows: vec![
-                row("presto/testbed16/stride:8/none/cell64k/s1", 9.0, None),
-                row("presto/testbed16/stride:8/none/cell64k/s1/sh8", 9.0, None),
-            ],
-            traces: BTreeMap::new(),
-        };
-        assert_eq!(data.ok_rows().len(), 1, "sh8 row is the same point");
-        let figs = data.figures();
-        let Figure::FctCdf(f) = &figs[0] else {
-            panic!()
-        };
-        assert_eq!(f.series[0].points.len(), 1, "one seed, one point");
     }
 }

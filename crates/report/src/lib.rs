@@ -11,7 +11,7 @@
 //!   canonical text forms; canonical texts are regression-gated in CI the
 //!   same way report digests are.
 //! * [`extract`] — projection from store rows + traces to figure specs
-//!   ([`CampaignData`]), normalizing away the `/shN` shard axis.
+//!   ([`CampaignData`]).
 //! * [`html`] — the self-contained `index.html` report (inline figures,
 //!   campaign metadata, diff-vs-baseline verdict, events/s trend).
 //! * [`viewer`] — the self-contained `viewer.html` trace timeline
@@ -22,7 +22,7 @@
 //! Determinism contract: every `figures/*.svg` and `figures/*.txt` this
 //! crate writes is a pure function of the campaign's committed table and
 //! trace bytes, so regenerating a report from the same store — on any
-//! machine, any `--workers`, any `--shards` — reproduces identical
+//! machine, any `--workers` — reproduces identical
 //! files. The HTML report additionally shows machine-dependent context
 //! (wall time, events/s) and is deliberately *not* part of that gate.
 
@@ -35,7 +35,7 @@ pub mod spec;
 pub mod svg;
 pub mod viewer;
 
-pub use extract::{base_label, CampaignData, LabelParts};
+pub use extract::{CampaignData, LabelParts};
 pub use output::{write_report, ReportOptions, ReportOutput};
 pub use spec::{
     CdfSeries, FailoverFigure, FctCdfFigure, Figure, GroSplitFigure, GroSplitPoint,

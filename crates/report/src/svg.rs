@@ -7,7 +7,7 @@
 //! geometry, a fixed palette, tick placement computed with closed-form
 //! 1/2/5 stepping, and every coordinate formatted through one rounding
 //! helper — identical chart data renders to identical SVG bytes on every
-//! platform, worker count and shard count, which is what lets rendered
+//! platform and worker count, which is what lets rendered
 //! figures be regression-gated like digests.
 
 use std::fmt::Write as _;

@@ -4,8 +4,7 @@
 //! start from [`Scenario::builder`] (paper-testbed defaults), chain the
 //! setters you need, and `build()`. The presets
 //! (`Scenario::testbed16` / `scalability` / `oversubscription`) are thin
-//! wrappers over this builder, and direct field construction of
-//! [`Scenario`] is deprecated.
+//! wrappers over this builder.
 //!
 //! ```
 //! use presto_simcore::{SimDuration, SimTime};
@@ -53,7 +52,6 @@ impl Scenario {
     }
 }
 
-#[allow(deprecated)]
 impl ScenarioBuilder {
     /// A builder with the paper-testbed defaults, named after the scheme.
     pub fn new(scheme: SchemeSpec, seed: u64) -> Self {
@@ -80,7 +78,6 @@ impl ScenarioBuilder {
                 host_uplink_queue: 16 * 1024 * 1024,
                 tx_batch: 1,
                 telemetry: None,
-                shards: 1,
             },
         }
     }
@@ -217,9 +214,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Link departure batch (see the `Scenario` field docs).
+    /// Link departure batch (see the `Scenario` field docs). Values are
+    /// clamped to at least 1, as the fabric clamps them, so `0` and `1`
+    /// share one fingerprint.
     pub fn tx_batch(mut self, batch: u32) -> Self {
-        self.inner.tx_batch = batch;
+        self.inner.tx_batch = batch.max(1);
         self
     }
 
@@ -229,31 +228,8 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Event-queue shard count (1 = the serial engine).
-    ///
-    /// Sharding partitions the fabric into per-pod domains whose calendar
-    /// wheels advance under a conservative lookahead window; results are
-    /// byte-identical at every shard count, so this is purely a
-    /// performance knob. Values are clamped to at least 1.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.inner.shards = n.max(1);
-        self
-    }
-
     /// Finish: hand back the assembled [`Scenario`].
-    ///
-    /// If the builder's `tx_batch` was left at its default, the deprecated
-    /// `PRESTO_TX_BATCH` environment variable is consulted as a fallback;
-    /// prefer [`ScenarioBuilder::tx_batch`], which also feeds the
-    /// scenario fingerprint.
-    pub fn build(mut self) -> Scenario {
-        if self.inner.tx_batch == 1 {
-            if let Ok(v) = std::env::var("PRESTO_TX_BATCH") {
-                if let Ok(n) = v.trim().parse::<u32>() {
-                    self.inner.tx_batch = n.max(1);
-                }
-            }
-        }
+    pub fn build(self) -> Scenario {
         self.inner
     }
 }

@@ -6,9 +6,8 @@
 //! per-host policies, GRO engines) and executes it to a [`Report`].
 //!
 //! Scenarios are built with the fluent [`ScenarioBuilder`] (see
-//! [`Scenario::builder`] and the preset constructors); the struct's public
-//! fields remain readable through accessor methods but direct field
-//! construction is deprecated.
+//! [`Scenario::builder`] and the preset constructors) and read through
+//! accessor methods; the fields are private.
 //!
 //! [`ScenarioBuilder`]: crate::ScenarioBuilder
 
@@ -122,143 +121,68 @@ impl From<FailureSpec> for FaultPlan {
 ///
 /// Build one with [`Scenario::builder`] (or the `testbed16` /
 /// `scalability` / `oversubscription` presets) and read it through the
-/// accessor methods. The fields are still public for backwards
-/// compatibility but deprecated: the builder is the supported way to
-/// construct and mutate a scenario.
+/// accessor methods.
 pub struct Scenario {
     /// Run label.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub name: String,
+    pub(crate) name: String,
     /// Master seed.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Scheme under test.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub scheme: SchemeSpec,
+    pub(crate) scheme: SchemeSpec,
     /// Clos parameters (ignored for single-switch schemes, which reuse the
     /// host count).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub clos: ClosSpec,
+    pub(crate) clos: ClosSpec,
     /// 3-tier topology override: when set, the fabric is built from this
     /// spec instead of `clos` (hosts → ToR → aggregation → core).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub three_tier: Option<ThreeTierSpec>,
+    pub(crate) three_tier: Option<ThreeTierSpec>,
     /// Simulated duration.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Measurement window starts here.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub warmup: SimDuration,
+    pub(crate) warmup: SimDuration,
     /// Flows to run (host indices; `dst` may point at a WAN remote).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub flows: Vec<FlowSpec>,
+    pub(crate) flows: Vec<FlowSpec>,
     /// Mice series.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub mice: Vec<MiceSpec>,
+    pub(crate) mice: Vec<MiceSpec>,
     /// RTT probe pairs.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub probes: Vec<(usize, usize)>,
+    pub(crate) probes: Vec<(usize, usize)>,
     /// Probe send interval.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub probe_interval: SimDuration,
+    pub(crate) probe_interval: SimDuration,
     /// Shuffle workload (replaces `flows`).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub shuffle: Option<ShuffleSpec>,
+    pub(crate) shuffle: Option<ShuffleSpec>,
     /// Partition-aggregate incast workload.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub incast: Option<IncastSpec>,
+    pub(crate) incast: Option<IncastSpec>,
     /// Ring-allreduce collective workload.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub allreduce: Option<AllreduceSpec>,
+    pub(crate) allreduce: Option<AllreduceSpec>,
     /// Fault timeline: typed, sim-time-scheduled link/spine events plus
     /// probabilistic flap processes, expanded deterministically from the
     /// scenario seed at build time.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub faults: FaultPlan,
+    pub(crate) faults: FaultPlan,
     /// Number of WAN "remote users" attached to spines at 100 Mbps
     /// (Table 2's north-south experiment). Their host indices follow the
     /// servers'.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub wan_remotes: usize,
+    pub(crate) wan_remotes: usize,
     /// Collect the Fig 5a flowcell-interleaving metric.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub collect_reorder: bool,
+    pub(crate) collect_reorder: bool,
     /// CPU utilization sampling period (Fig 6).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub cpu_sample: Option<SimDuration>,
+    pub(crate) cpu_sample: Option<SimDuration>,
     /// Host uplink queue (large: the sender NIC/qdisc backpressures
     /// instead of dropping).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub host_uplink_queue: u64,
+    pub(crate) host_uplink_queue: u64,
     /// Link departure batch (`Link::tx_batch`). 1 (the default) replays
     /// the classic one-event-per-packet model exactly; larger values
     /// coalesce `TxDone` bookkeeping for a lower event rate — arrival
     /// times and drop decisions stay exact, but same-instant event ties
     /// across links resolve in commit order, which perturbs tightly
     /// synchronized workloads slightly. Set with
-    /// `ScenarioBuilder::tx_batch` (the `PRESTO_TX_BATCH` env var is a
-    /// deprecated fallback resolved at build time).
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub tx_batch: u32,
-    /// Event-queue shard count (1 = the serial engine). Higher counts
-    /// split the fabric into per-pod domains with conservatively
-    /// synchronized calendar wheels (DESIGN.md §12); report digests are
-    /// byte-identical at any shard count.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub shards: usize,
+    /// `ScenarioBuilder::tx_batch`.
+    pub(crate) tx_batch: u32,
     /// Attach the telemetry layer with this configuration (`None` = off).
     /// Enabling it never changes simulation behaviour or the report
     /// digest; it only collects counters, samples, and trace events.
-    #[deprecated(
-        note = "construct scenarios with ScenarioBuilder; read through the accessor methods"
-    )]
-    pub telemetry: Option<TelemetryConfig>,
+    pub(crate) telemetry: Option<TelemetryConfig>,
 }
 
-/// Read accessors — the non-deprecated way to inspect a scenario.
-#[allow(deprecated)]
+/// Read accessors.
 impl Scenario {
     /// Run label.
     pub fn name(&self) -> &str {
@@ -340,17 +264,12 @@ impl Scenario {
     pub fn tx_batch(&self) -> u32 {
         self.tx_batch
     }
-    /// Event-queue shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
     /// Telemetry configuration, if attached.
     pub fn telemetry(&self) -> Option<TelemetryConfig> {
         self.telemetry
     }
 }
 
-#[allow(deprecated)]
 impl Scenario {
     /// The paper's 16-host, 4-spine, 4-leaf testbed (Fig 3) with default
     /// measurement windows. Thin wrapper over [`Scenario::builder`].
@@ -659,8 +578,7 @@ impl Scenario {
 
         let end = SimTime::ZERO + self.duration;
         let warm = SimTime::ZERO + self.warmup;
-        let mut sim =
-            Simulation::with_shards(topo, self.scheme.clone(), mk_host, end, warm, self.shards);
+        let mut sim = Simulation::new(topo, self.scheme.clone(), mk_host, end, warm);
         sim.topo.fabric.set_tx_batch(self.tx_batch);
         sim.controller = controller;
         sim.label_pairs = label_sets

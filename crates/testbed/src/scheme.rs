@@ -319,21 +319,6 @@ impl SchemeSpec {
             .with_ecmp_mode(EcmpMode::FlowcellHash)
     }
 
-    /// Presto sender with the *stock* GRO receiver — the "Official GRO"
-    /// half of Fig 5.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via the registry instead: \
-                `SchemeSpec::from_token(\"presto-official-gro\")` or \
-                `SchemeSpec::presto().with_gro(GroKind::Official)\
-                 .with_name(\"Presto+OfficialGRO\")`"
-    )]
-    pub fn presto_official_gro() -> Self {
-        Self::presto()
-            .with_gro(GroKind::Official)
-            .with_name("Presto+OfficialGRO")
-    }
-
     /// Per-packet spraying with TSO disabled (RPS/DRB-style).
     pub fn per_packet() -> Self {
         Self::base("PerPacket", PolicyKind::PerPacket).with_max_tso(1460)
@@ -415,25 +400,6 @@ mod tests {
             SchemeSpec::prequal().policy,
             PolicyKind::Prequal(presto_probe::ProbeParams::default())
         );
-    }
-
-    /// The deprecated ad hoc constructor must stay behaviourally identical
-    /// to its fluent replacement until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_official_gro_matches_fluent_form() {
-        let old = SchemeSpec::presto_official_gro();
-        let new = SchemeSpec::presto()
-            .with_gro(GroKind::Official)
-            .with_name("Presto+OfficialGRO");
-        assert_eq!(old.name, new.name);
-        assert_eq!(old.policy, new.policy);
-        assert_eq!(old.gro, new.gro);
-        assert_eq!(old.transport, new.transport);
-        assert_eq!(old.ecmp_mode, new.ecmp_mode);
-        assert_eq!(old.single_switch, new.single_switch);
-        assert_eq!(old.max_tso, new.max_tso);
-        assert_eq!(old.flowcell_bytes, new.flowcell_bytes);
     }
 
     #[test]

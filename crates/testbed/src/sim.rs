@@ -22,13 +22,10 @@ use presto_endhost::{
 };
 use presto_metrics::TimeSeries;
 use presto_netsim::{
-    DomainPartition, FlowKey, HostId, LinkId, NetEvent, NetScheduler, Packet, PacketKind,
-    PacketPool, SwitchId, Topology,
+    FlowKey, HostId, LinkId, NetEvent, NetScheduler, Packet, PacketKind, PacketPool, SwitchId,
+    Topology,
 };
-use presto_simcore::{
-    EventQueue, FxHashMap, QueueProfile, ShardStats, ShardTarget, ShardedQueue, SimDuration,
-    SimTime,
-};
+use presto_simcore::{EventQueue, FxHashMap, SimDuration, SimTime};
 use presto_telemetry::{
     shared_sink, CounterEntry, DropReason, FailoverStage, QueueDepthSummary, QueueProfileEntry,
     SharedSink, TelemetryConfig, TelemetryReport, TraceEvent,
@@ -163,136 +160,6 @@ pub fn classify_event(ev: &Event) -> usize {
         Event::IncastNext => 15,
         Event::AllreduceRound => 16,
         Event::ProbeRound => 17,
-    }
-}
-
-/// Flattened domain lookup tables for the sharded engine, derived from a
-/// [`DomainPartition`] (DESIGN.md §12).
-struct DomainMap {
-    host: Vec<usize>,
-    link_src: Vec<usize>,
-    link_dst: Vec<usize>,
-}
-
-impl From<&DomainPartition> for DomainMap {
-    fn from(p: &DomainPartition) -> Self {
-        DomainMap {
-            host: p.host_domain.clone(),
-            link_src: p.link_src_domain.clone(),
-            link_dst: p.link_dst_domain.clone(),
-        }
-    }
-}
-
-/// Which shard wheel an event executes on.
-///
-/// Fabric events pin to the domain of the node doing the work: a `TxDone`
-/// runs at the link's source, an `Arrive` at its destination. Host-local
-/// events pin to the host's domain. Timer-like events (`Rto`,
-/// `ShuffleMore`, …) follow the context that armed them — they only ever
-/// touch state of the host whose handler armed them, so `Current` keeps
-/// them on that host's wheel (or the global lane during setup). Purely
-/// global bookkeeping (warmup, faults, the controller) stays on the
-/// global lane, whose events every domain observes.
-fn classify_domain(ev: &Event, m: &DomainMap) -> ShardTarget {
-    match ev {
-        Event::Net(NetEvent::TxDone { link }) => ShardTarget::Domain(m.link_src[link.index()]),
-        Event::Net(NetEvent::Arrive { link, .. }) => ShardTarget::Domain(m.link_dst[link.index()]),
-        Event::NicPoll(h) | Event::GroTimer(h) | Event::CpuDone(h, _) | Event::EgressDrain(h) => {
-            ShardTarget::Domain(m.host[h.index()])
-        }
-        Event::Rto(..)
-        | Event::FlowStart(_)
-        | Event::MiceNext(_)
-        | Event::ProbeSend(_)
-        | Event::ShuffleMore(_) => ShardTarget::Current,
-        // Path feedback reads fabric-wide link state and touches every
-        // host's policy: global, like the controller it complements.
-        // Incast waves and allreduce rounds fan flows out across many
-        // hosts' vSwitches at once, so they ride the global lane too.
-        // Probe rounds read many hosts' connection state and deliver to
-        // every opted-in policy — global for the same reason.
-        Event::CpuSample
-        | Event::WarmupMark
-        | Event::Fault(_)
-        | Event::ControllerNotify(_)
-        | Event::PathFeedback
-        | Event::IncastNext
-        | Event::AllreduceRound
-        | Event::ProbeRound => ShardTarget::Global,
-    }
-}
-
-/// The simulation's event queue: the untouched serial calendar wheel at
-/// `shards == 1`, or the conservatively synchronized sharded engine.
-/// Either way the contract is identical — global (time, seq) pop order —
-/// so digests are byte-identical across engines by construction.
-enum EngineQueue {
-    Serial(EventQueue<Event>),
-    Sharded {
-        queue: ShardedQueue<Event>,
-        map: DomainMap,
-    },
-}
-
-impl EngineQueue {
-    fn push(&mut self, time: SimTime, ev: Event) {
-        match self {
-            EngineQueue::Serial(q) => q.push(time, ev),
-            EngineQueue::Sharded { queue, map } => {
-                let target = classify_domain(&ev, map);
-                queue.push(time, target, ev);
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            EngineQueue::Serial(q) => q.pop(),
-            EngineQueue::Sharded { queue, .. } => queue.pop(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EngineQueue::Serial(q) => q.len(),
-            EngineQueue::Sharded { queue, .. } => queue.len(),
-        }
-    }
-
-    fn high_water_mark(&self) -> usize {
-        match self {
-            EngineQueue::Serial(q) => q.high_water_mark(),
-            EngineQueue::Sharded { queue, .. } => queue.high_water_mark(),
-        }
-    }
-
-    fn enable_profiler(&mut self, names: &'static [&'static str], classify: fn(&Event) -> usize) {
-        match self {
-            EngineQueue::Serial(q) => q.enable_profiler(names, classify),
-            EngineQueue::Sharded { queue, .. } => queue.enable_profiler(names, classify),
-        }
-    }
-
-    fn profile(&self) -> Option<&QueueProfile> {
-        match self {
-            EngineQueue::Serial(q) => q.profile(),
-            EngineQueue::Sharded { queue, .. } => queue.profile(),
-        }
-    }
-
-    fn shard_stats(&self) -> Option<ShardStats> {
-        match self {
-            EngineQueue::Serial(_) => None,
-            EngineQueue::Sharded { queue, .. } => Some(queue.stats()),
-        }
-    }
-
-    fn shards(&self) -> usize {
-        match self {
-            EngineQueue::Serial(_) => 1,
-            EngineQueue::Sharded { queue, .. } => queue.domains(),
-        }
     }
 }
 
@@ -719,7 +586,7 @@ struct Scratch {
 pub struct Simulation {
     /// Current simulated time.
     pub now: SimTime,
-    queue: EngineQueue,
+    queue: EventQueue<Event>,
     /// The network.
     pub topo: Topology,
     /// Per-host soft edges, indexed by host id.
@@ -793,7 +660,7 @@ pub struct Simulation {
 /// host deliveries into a drain buffer processed after each fabric call.
 struct Sched<'a> {
     now: SimTime,
-    queue: &'a mut EngineQueue,
+    queue: &'a mut EventQueue<Event>,
     delivered: &'a mut Vec<(HostId, Packet)>,
 }
 
@@ -816,29 +683,13 @@ pub fn default_cc() -> Box<dyn CongestionControl> {
 }
 
 impl Simulation {
-    /// A simulator over `topo` with per-host edges supplied by `mk_host`,
-    /// on the serial engine.
+    /// A simulator over `topo` with per-host edges supplied by `mk_host`.
     pub fn new(
-        topo: Topology,
-        scheme: SchemeSpec,
-        mk_host: impl FnMut(HostId) -> HostNode,
-        end: SimTime,
-        warmup: SimTime,
-    ) -> Self {
-        Self::with_shards(topo, scheme, mk_host, end, warmup, 1)
-    }
-
-    /// [`Simulation::new`] on `shards` event-queue domains. `shards == 1`
-    /// keeps the serial engine; more split the fabric into per-pod
-    /// domains with conservatively synchronized wheels (DESIGN.md §12).
-    /// Digests are byte-identical at any shard count.
-    pub fn with_shards(
         topo: Topology,
         scheme: SchemeSpec,
         mut mk_host: impl FnMut(HostId) -> HostNode,
         end: SimTime,
         warmup: SimTime,
-        shards: usize,
     ) -> Self {
         let hosts: Vec<HostNode> = topo.hosts.iter().map(|&h| mk_host(h)).collect();
         let feedback_every = hosts
@@ -849,18 +700,9 @@ impl Simulation {
             max_tso: scheme.max_tso,
             ..TcpConfig::default()
         };
-        let queue = if shards <= 1 {
-            EngineQueue::Serial(EventQueue::new())
-        } else {
-            let part = topo.partition(shards);
-            EngineQueue::Sharded {
-                queue: ShardedQueue::new(shards, part.lookahead),
-                map: DomainMap::from(&part),
-            }
-        };
         let mut sim = Simulation {
             now: SimTime::ZERO,
-            queue,
+            queue: EventQueue::new(),
             topo,
             hosts,
             tcp_conns: Vec::new(),
@@ -955,17 +797,6 @@ impl Simulation {
     /// Is the telemetry layer attached?
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry.is_some()
-    }
-
-    /// Number of event-queue domains (1 = serial engine).
-    pub fn shards(&self) -> usize {
-        self.queue.shards()
-    }
-
-    /// Sharded-engine synchronization counters (epochs, cross-domain
-    /// handoffs); `None` on the serial engine.
-    pub fn shard_stats(&self) -> Option<ShardStats> {
-        self.queue.shard_stats()
     }
 
     /// Advance the sampling grid up to (and including) `t`, taking one

@@ -2,12 +2,8 @@
 //! failure and the four-stage failover timeline.
 //!
 //! ```text
-//! cargo run --release --example three_tier [-- --shards N]
+//! cargo run --release --example three_tier
 //! ```
-//!
-//! `--shards N` runs the same simulation on the sharded conservative
-//! engine (per-pod event-queue domains, DESIGN.md §12); the results are
-//! byte-identical to the serial engine at any shard count.
 //!
 //! Runs cross-pod elephants on a 2-pod, 3-tier Clos (hosts → ToR →
 //! aggregation → core) with 4 aggregation switches per pod, each wired
@@ -29,34 +25,19 @@
 use presto::prelude::*;
 
 fn main() {
-    let mut shards = 1usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards needs a positive integer");
-            }
-            other => panic!("unknown flag {other} (supported: --shards N)"),
-        }
-    }
-
     let spec = ThreeTierSpec {
         aggs_per_pod: 4,
         cores_per_group: 1,
         ..ThreeTierSpec::default()
     };
     println!(
-        "3-tier Clos: {} pods x {} ToRs x {} hosts = {} servers, {} aggs/pod, oversubscription {:.1}:1, {} shard(s)\n",
+        "3-tier Clos: {} pods x {} ToRs x {} hosts = {} servers, {} aggs/pod, oversubscription {:.1}:1\n",
         spec.pods,
         spec.tors_per_pod,
         spec.hosts_per_tor,
         spec.host_count(),
         spec.aggs_per_pod,
         spec.oversubscription(),
-        shards,
     );
 
     // One bidirectional cross-pod elephant pair per ToR, so data is
@@ -83,7 +64,6 @@ fn main() {
                 )
                 .switch_up(SimTime::from_millis(40), 1, 0, Notify::Immediate),
         )
-        .shards(shards)
         .build()
         .run();
 

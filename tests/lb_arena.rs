@@ -1,11 +1,11 @@
 //! The LB scheme arena: determinism and liveness for the registry's
 //! related-work schemes (FlowDyn, DiffFlow, Sprinklers, CAFT).
 //!
-//! Mirrors `shard_determinism.rs` / `parallel_determinism.rs` for the
+//! Mirrors `two_tier_compat.rs` / `parallel_determinism.rs` for the
 //! four schemes added by the policy-API redesign. Every arena scheme
 //! must (a) move real traffic on the testbed fabric, (b) produce
-//! byte-identical digests at shards 1, 2 and 8 and across
-//! [`ParallelRunner`] fan-outs of 1, 2 and 8 workers, (c) survive a
+//! byte-identical digests when the same scenario is built twice and
+//! across [`ParallelRunner`] fan-outs of 1, 2 and 8 workers, (c) survive a
 //! fault timeline (CAFT additionally exercises the `PathFeedback`
 //! event and `labels_updated` lifecycle there), and (d) round-trip
 //! through the registry and the canonical-text layer with a fingerprint
@@ -18,7 +18,6 @@ use presto::workloads::FlowSpec;
 use presto_testbed::{MiceSpec, ParallelRunner, SCHEMES};
 
 const ARENA: [&str; 4] = ["flowdyn", "diffflow", "sprinklers", "caft"];
-const SHARD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn arena_builder(token: &str) -> ScenarioBuilder {
     let spec = SchemeSpec::from_token(token).expect("registered token");
@@ -62,33 +61,26 @@ fn arena_schemes_move_traffic() {
     }
 }
 
-#[test]
-fn arena_digests_are_shard_invariant() {
+/// Build every arena scheme's scenario twice and require one digest.
+fn assert_rebuild_invariant(make: fn(&str) -> ScenarioBuilder, what: &str) {
     for token in ARENA {
-        let baseline = arena_builder(token).shards(1).build().run().digest();
-        for shards in SHARD_COUNTS {
-            let digest = arena_builder(token).shards(shards).build().run().digest();
-            assert_eq!(
-                digest, baseline,
-                "{token} @ shards={shards}: digest {digest:#018x} != serial {baseline:#018x}"
-            );
-        }
+        let first = make(token).build().run().digest();
+        let second = make(token).build().run().digest();
+        assert_eq!(
+            second, first,
+            "{token} {what}: rebuilt digest {second:#018x} != first run {first:#018x}"
+        );
     }
 }
 
 #[test]
+fn arena_digests_are_shard_invariant() {
+    assert_rebuild_invariant(arena_builder, "healthy");
+}
+
+#[test]
 fn arena_digests_are_shard_invariant_under_faults() {
-    for token in ARENA {
-        let baseline = faulted_builder(token).shards(1).build().run().digest();
-        for shards in SHARD_COUNTS {
-            let digest = faulted_builder(token).shards(shards).build().run().digest();
-            assert_eq!(
-                digest, baseline,
-                "{token} faulted @ shards={shards}: \
-                 digest {digest:#018x} != serial {baseline:#018x}"
-            );
-        }
-    }
+    assert_rebuild_invariant(faulted_builder, "faulted");
 }
 
 #[test]

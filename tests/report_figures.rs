@@ -2,7 +2,7 @@
 //!
 //! Every `figures/*.svg` and `figures/*.txt` artifact must be a pure
 //! function of the campaign's committed behavior — byte-identical across
-//! worker counts, shard counts, and telemetry sampling configurations —
+//! worker counts and telemetry sampling configurations —
 //! and each figure spec's canonical text is pinned against committed
 //! goldens under `tests/goldens/` (regenerate with `UPDATE_GOLDENS=1`).
 
@@ -119,33 +119,6 @@ fn figures_are_byte_identical_across_worker_counts() {
         let _ = fs::remove_dir_all(&dir);
     }
     let _ = fs::remove_dir_all(&ref_dir);
-}
-
-/// Sharded campaigns render the same figures as serial ones: the `/shN`
-/// axis is stripped, sharded rows dedupe onto their serial points, and
-/// the artifact bytes come out identical.
-#[test]
-fn figures_are_byte_identical_across_shard_counts() {
-    let mut serial = grid("repfig-shards");
-    // Trim the grid (one workload, no faults) — shard sweeps multiply it.
-    serial.workloads.truncate(1);
-    serial.faults.truncate(1);
-    let mut sharded = serial.clone();
-    sharded.shards = vec![8];
-    let mut mixed = serial.clone();
-    mixed.shards = vec![1, 8];
-
-    let (d1, reference, slugs) = run_and_render(&serial, 2, "sh1");
-    assert!(!slugs.is_empty());
-    for (tag, campaign) in [("sh8", &sharded), ("sh-mixed", &mixed)] {
-        let (dir, artifacts, _) = run_and_render(campaign, 2, tag);
-        assert_eq!(
-            artifacts, reference,
-            "{tag}: sharded figures must match the serial engine byte-for-byte"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-    let _ = fs::remove_dir_all(&d1);
 }
 
 /// Telemetry sampling configuration (ring capacity, sampler period) only

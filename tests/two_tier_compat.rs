@@ -4,11 +4,11 @@
 //! controller trees) must be behaviour-preserving on the classic 2-tier
 //! testbed. These digests were captured on the pre-refactor tree; any
 //! change here means the refactor altered packet-level behaviour, not
-//! just structure.
+//! just structure. Each digest is checked with the telemetry layer off
+//! and on: telemetry must never change behaviour.
 
 use presto::prelude::*;
 use presto::workloads::FlowSpec;
-use presto_telemetry::TelemetryConfig;
 use presto_testbed::MiceSpec;
 
 fn flows_l1_l4() -> Vec<FlowSpec> {
@@ -22,6 +22,11 @@ fn assert_digest(name: &str, scenario: Scenario, expected: u64) {
     assert_eq!(
         digest, expected,
         "{name}: digest {digest:#018x} != pre-refactor baseline {expected:#018x}"
+    );
+    let traced = scenario.run_traced().0.digest();
+    assert_eq!(
+        traced, expected,
+        "{name} with telemetry: digest {traced:#018x} != pre-refactor baseline {expected:#018x}"
     );
 }
 
@@ -122,8 +127,30 @@ fn presto_ecmp_telemetry_digest_is_unchanged() {
             .duration(SimDuration::from_millis(30))
             .warmup(SimDuration::from_millis(10))
             .elephants(flows_l1_l4())
-            .telemetry(TelemetryConfig::default())
             .build(),
         0x1c94dad6faab2659,
+    );
+}
+
+/// A multi-pod 3-tier fabric. Pinned to the digest the serial engine
+/// gave before the sharded engine was removed.
+#[test]
+fn three_tier_pods4_digest_is_unchanged() {
+    assert_digest(
+        "three_tier_pods4",
+        Scenario::builder(SchemeSpec::presto(), 13)
+            .three_tier(ThreeTierSpec {
+                pods: 4,
+                ..Default::default()
+            })
+            .duration(SimDuration::from_millis(20))
+            .warmup(SimDuration::from_millis(5))
+            .elephants(
+                (0..8)
+                    .map(|i| FlowSpec::elephant(i, (i + 17) % 32, SimTime::ZERO))
+                    .collect(),
+            )
+            .build(),
+        0x757c8748ca149967,
     );
 }
