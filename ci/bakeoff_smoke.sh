@@ -9,7 +9,7 @@
 #      every point from the content-addressed store (zero executions),
 #      which pins the canonical-text fingerprints of all eight schemes.
 #   3. `lab diff` the fresh table against the committed baseline with
-#      default tolerances — must pass.
+#      default tolerances and bit-exact digests (--strict-digest) — must pass.
 #   4. Render the report and require every figure artifact (canonical
 #      .txt AND rendered .svg) byte-identical to the goldens under
 #      baselines/figures/bakeoff/. Re-bless intentional changes with:
@@ -37,8 +37,8 @@ echo "==> run the committed bake-off grid (fresh store)"
 echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
-echo "==> diff against the committed baseline (default tolerances)"
-"$LAB" diff "$BASELINE" "$STORE/run/bakeoff/table.json"
+echo "==> diff against the committed baseline (default tolerances, digests bit-exact)"
+"$LAB" diff "$BASELINE" "$STORE/run/bakeoff/table.json" --strict-digest
 
 echo "==> render the report (diff vs committed baseline must pass)"
 "$LAB" report bakeoff --store "$STORE/run" --out "$REPORT_OUT" \

@@ -11,7 +11,8 @@
 #      every point from the content-addressed store (zero executions),
 #      which pins the canonical-text fingerprints of the cc/ecn axes.
 #   3. `lab diff` the fresh table against the committed baseline with
-#      default tolerances — the deadline-miss gate must pass.
+#      default tolerances and bit-exact digests (--strict-digest) — the
+#      deadline-miss gate must pass.
 #   4. The baseline itself must show the headline result: a nonzero
 #      deadline-miss delta between Presto×DCTCP and ECMP×DCTCP.
 #   5. Render the report and require every figure artifact (canonical
@@ -41,8 +42,8 @@ echo "==> run the committed incast grid (fresh store)"
 echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
-echo "==> diff against the committed baseline (default tolerances)"
-"$LAB" diff "$BASELINE" "$STORE/run/incast/table.json"
+echo "==> diff against the committed baseline (default tolerances, digests bit-exact)"
+"$LAB" diff "$BASELINE" "$STORE/run/incast/table.json" --strict-digest
 
 echo "==> baseline shows a deadline-miss delta between the DCTCP stacks"
 sum_misses() {

@@ -6,7 +6,7 @@
 #   2. Run it again with --require-cached: the second run must answer
 #      every point from the store (zero scenario executions).
 #   3. `lab diff` the fresh table against the committed baseline with
-#      default tolerances — must pass.
+#      default tolerances and bit-exact digests (--strict-digest) — must pass.
 #   4. Re-run the grid with an injected 50% goodput regression into a
 #      second store — `lab diff` must flag it and exit nonzero.
 #
@@ -30,8 +30,8 @@ echo "==> run the committed paper grid (fresh store)"
 echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
-echo "==> diff against the committed baseline (default tolerances)"
-"$LAB" diff "$BASELINE" "$STORE/run/paper_grid/table.json"
+echo "==> diff against the committed baseline (default tolerances, digests bit-exact)"
+"$LAB" diff "$BASELINE" "$STORE/run/paper_grid/table.json" --strict-digest
 
 echo "==> injected goodput regression must be caught"
 "$LAB" run "$CAMPAIGN" --store "$STORE/bad" --inject-goodput-scale 0.5 --quiet

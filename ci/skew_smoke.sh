@@ -13,7 +13,8 @@
 #      which pins the canonical-text fingerprints of the probing scheme
 #      and the skew workload.
 #   3. `lab diff` the fresh table against the committed baseline with
-#      default tolerances — the deadline-miss gate must pass.
+#      default tolerances and bit-exact digests (--strict-digest) — the
+#      deadline-miss gate must pass.
 #   4. The baseline itself must show the headline result: prequal's
 #      receiver-load-aware replica selection misses STRICTLY fewer
 #      deadlines than static-WRR Presto on the skewed points.
@@ -45,8 +46,8 @@ echo "==> run the committed skew grid (fresh store)"
 echo "==> re-run: every point must be a cache hit"
 "$LAB" run "$CAMPAIGN" --store "$STORE/run" --require-cached --quiet
 
-echo "==> diff against the committed baseline (default tolerances)"
-"$LAB" diff "$BASELINE" "$STORE/run/skew/table.json"
+echo "==> diff against the committed baseline (default tolerances, digests bit-exact)"
+"$LAB" diff "$BASELINE" "$STORE/run/skew/table.json" --strict-digest
 
 echo "==> baseline shows prequal strictly beating static WRR on skew"
 sum_misses() {

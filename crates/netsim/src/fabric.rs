@@ -54,8 +54,8 @@ pub struct Fabric {
     /// admission); `None` = static per-port drop-tail.
     shared: Vec<Option<SharedBuffer>>,
     /// Egress links per switch index (links whose `src` is the switch) —
-    /// used to compute the pool's virtual-settlement credit under
-    /// departure batching.
+    /// used to credit the pool for packets that finished serializing
+    /// before their `TxDone` fired.
     egress: Vec<Vec<LinkId>>,
     /// Host uplink (host → leaf) per host index.
     host_uplink: Vec<LinkId>,
@@ -170,10 +170,9 @@ impl Fabric {
         match ev {
             NetEvent::TxDone { link } => {
                 let l = &mut self.links[link.index()];
-                let (bytes, _pkts) = l.settle_batch();
+                let bytes = l.finish_tx();
                 let src = l.src;
-                // Release shared-buffer occupancy at the egress switch for
-                // the whole settled batch.
+                // Release shared-buffer occupancy at the egress switch.
                 if let Node::Switch(sw) = src {
                     if let Some(buf) = &mut self.shared[sw.index()] {
                         buf.on_dequeue(bytes);
@@ -220,9 +219,8 @@ impl Fabric {
         let mut charge_pool: Option<usize> = None;
         if let Node::Switch(sw) = self.links[link.index()].src {
             if let Some(buf) = &self.shared[sw.index()] {
-                // Credit the pool for committed packets that already left
-                // the wire: batched TxDone settles them late, and DT
-                // admission must see the per-packet-model occupancy.
+                // Credit the pool for packets that already left the wire
+                // but whose same-instant TxDone has not popped yet.
                 let credit: u64 = self.egress[sw.index()]
                     .iter()
                     .map(|l| self.links[l.index()].finished_unsettled(now))
@@ -292,30 +290,15 @@ impl Fabric {
         }
     }
 
-    /// Commit the next departure batch on `link`: pre-schedule each
-    /// committed packet's arrival at its exact completion + propagation
-    /// instant, and one `TxDone` at the batch's last completion. Packets
-    /// are committed to the wire here; propagation loss on a link that
-    /// fails mid-batch is modeled at forwarding time, not here.
+    /// Put `link`'s head packet on the wire: schedule its arrival at
+    /// completion + propagation, then its `TxDone` at completion.
+    /// Propagation loss on a link that fails mid-packet is modeled at
+    /// forwarding time, not here.
     fn start_tx(&mut self, link: LinkId, s: &mut impl NetScheduler) {
-        let now = s.now();
         let l = &mut self.links[link.index()];
-        let prop = l.propagation;
-        let last = l.commit_batch(now, |packet, completion| {
-            s.schedule_net(completion + prop, NetEvent::Arrive { link, packet });
-        });
-        if let Some(last) = last {
-            s.schedule_net(last, NetEvent::TxDone { link });
-        }
-    }
-
-    /// Set the departure batch size on every link (1 = the classic
-    /// one-event-per-packet model). Arrival times are identical for any
-    /// batch size; only queue-release accounting granularity changes.
-    pub fn set_tx_batch(&mut self, batch: u32) {
-        let batch = batch.max(1);
-        for l in &mut self.links {
-            l.tx_batch = batch;
+        if let Some((packet, tx)) = l.start_tx(s.now()) {
+            s.schedule_net(tx + l.propagation, NetEvent::Arrive { link, packet });
+            s.schedule_net(tx, NetEvent::TxDone { link });
         }
     }
 
@@ -574,33 +557,6 @@ mod tests {
         assert!(f.total_data_drops() > 0);
         let buf = f.shared_buffer(SwitchId(0)).unwrap();
         assert_eq!(buf.used(), 0, "pool must drain to zero");
-    }
-
-    #[test]
-    fn batched_departures_keep_exact_delivery_times() {
-        // The departure batch only coalesces TxDone bookkeeping; every
-        // packet's arrival instant must be bit-identical to the classic
-        // one-event-per-packet model.
-        let mut traces = Vec::new();
-        for batch in [1u32, 4, 8, 64] {
-            let (mut f, ..) = two_host_fabric();
-            f.set_tx_batch(batch);
-            let mut h = Harness::new();
-            for i in 0..25 {
-                assert!(h.inject(&mut f, HostId(0), data_pkt(MSS, i * MSS as u64)));
-            }
-            h.run(&mut f);
-            let trace: Vec<(u64, Option<u64>)> = h
-                .delivered
-                .iter()
-                .map(|(t, _, p)| (t.as_nanos(), p.end_seq()))
-                .collect();
-            assert_eq!(trace.len(), 25);
-            traces.push(trace);
-        }
-        for t in &traces[1..] {
-            assert_eq!(t, &traces[0], "delivery trace changed with batch size");
-        }
     }
 
     #[test]

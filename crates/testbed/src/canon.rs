@@ -331,7 +331,9 @@ impl Scenario {
         c.field("collect_reorder", self.collect_reorder());
         c.opt_dur("cpu_sample", self.cpu_sample());
         c.field("host_uplink_queue", self.host_uplink_queue());
-        c.field("tx_batch", self.tx_batch());
+        // Links send one packet per `TxDone`. The constant line stays so
+        // that fingerprints and committed baselines remain byte-identical.
+        c.field("tx_batch", 1);
 
         c.out
     }
@@ -384,14 +386,6 @@ mod tests {
             traced.fingerprint(),
             "telemetry never changes behaviour, so it must share the cache key"
         );
-        let zero_batch = Scenario::builder(SchemeSpec::presto(), 7)
-            .tx_batch(0)
-            .build();
-        assert_eq!(
-            a.fingerprint(),
-            zero_batch.fingerprint(),
-            "the fabric runs tx_batch 0 as 1, so the two must share the cache key"
-        );
     }
 
     #[test]
@@ -422,10 +416,6 @@ mod tests {
                     0,
                     Notify::Immediate,
                 ))
-                .build(),
-            Scenario::builder(SchemeSpec::presto(), 7)
-                .elephants(stride_elephants(16, 8))
-                .tx_batch(8)
                 .build(),
         ];
         let fp = base.fingerprint();

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod apps;
 pub mod builder;
 pub mod canon;
 pub mod registry;
@@ -42,6 +43,7 @@ pub mod scenario;
 pub mod scheme;
 pub mod sim;
 
+pub use apps::FlowTag;
 pub use builder::ScenarioBuilder;
 pub use canon::{scheme_canon, Fnv128};
 pub use presto_faults::{FaultEvent, FaultKind, FaultPlan, FlapProcess, Notify};
@@ -55,4 +57,4 @@ pub use scenario::{
     IncastSpec, MiceSpec, Scenario, ShuffleSpec,
 };
 pub use scheme::{GroKind, PolicyKind, SchemeSpec, TransportKind, DEFAULT_ECN_THRESHOLD};
-pub use sim::{FaultAction, FlowTag, ResolvedFault, Simulation};
+pub use sim::{FaultAction, ResolvedFault, Simulation};

@@ -22,12 +22,10 @@ use presto_telemetry::{TelemetryConfig, TelemetryReport};
 use presto_workloads::patterns;
 use presto_workloads::FlowSpec;
 
+use crate::apps::{Allreduce, Incast, Mice, Shuffle, StaticFlows};
 use crate::report::Report;
 use crate::scheme::{GroKind, PolicyKind, SchemeSpec};
-use crate::sim::{
-    make_host, AllreduceState, Event, FaultAction, FlowTag, IncastState, MiceSeries, PendingFlow,
-    ResolvedFault, ShuffleState, Simulation,
-};
+use crate::sim::{make_host, FaultAction, ResolvedFault, Simulation};
 
 /// XOR-folded into the scenario seed to derive the fault-plan expansion
 /// stream, so flap draws never correlate with workload randomness.
@@ -168,14 +166,6 @@ pub struct Scenario {
     /// Host uplink queue (large: the sender NIC/qdisc backpressures
     /// instead of dropping).
     pub(crate) host_uplink_queue: u64,
-    /// Link departure batch (`Link::tx_batch`). 1 (the default) replays
-    /// the classic one-event-per-packet model exactly; larger values
-    /// coalesce `TxDone` bookkeeping for a lower event rate — arrival
-    /// times and drop decisions stay exact, but same-instant event ties
-    /// across links resolve in commit order, which perturbs tightly
-    /// synchronized workloads slightly. Set with
-    /// `ScenarioBuilder::tx_batch`.
-    pub(crate) tx_batch: u32,
     /// Attach the telemetry layer with this configuration (`None` = off).
     /// Enabling it never changes simulation behaviour or the report
     /// digest; it only collects counters, samples, and trace events.
@@ -260,10 +250,6 @@ impl Scenario {
     pub fn host_uplink_queue(&self) -> u64 {
         self.host_uplink_queue
     }
-    /// Link departure batch.
-    pub fn tx_batch(&self) -> u32 {
-        self.tx_batch
-    }
     /// Telemetry configuration, if attached.
     pub fn telemetry(&self) -> Option<TelemetryConfig> {
         self.telemetry
@@ -330,54 +316,48 @@ impl Scenario {
         (report, telemetry)
     }
 
-    /// Server hosts that send or receive anything in this scenario, or
-    /// `None` when every server does (including shuffles, which are
-    /// all-to-all). Drives the scoped forwarding-state installs: on an
-    /// 8192-host fabric with a sparse workload, routing and label state
-    /// is only materialized for the hosts that will ever see a packet.
-    fn active_servers(&self) -> Option<Vec<bool>> {
-        let n_servers = self.n_servers();
+    /// Every `(src, dst)` host pair that may exchange traffic, or `None`
+    /// when every server may talk to every other (a shuffle is
+    /// all-to-all). A load-aware incast aggregator may pick any server as
+    /// a replica, so it pairs with all of them. Indices past the servers
+    /// are WAN remotes.
+    fn host_pairs(&self) -> Option<Vec<(usize, usize)>> {
         if self.shuffle.is_some() {
             return None;
         }
-        let mut active = vec![false; n_servers];
-        let mut mark = |h: usize| {
-            // WAN-remote indices sit past the servers; their routing is
-            // installed by the attach step, not the basic install.
-            if h < n_servers {
-                active[h] = true;
-            }
-        };
-        for f in &self.flows {
-            mark(f.src);
-            mark(f.dst);
-        }
-        for m in &self.mice {
-            mark(m.src);
-            mark(m.dst);
-        }
-        for &(src, dst) in &self.probes {
-            mark(src);
-            mark(dst);
-        }
+        let n_servers = self.n_servers();
+        let mut pairs: Vec<(usize, usize)> = (self.flows.iter().map(|f| (f.src, f.dst)))
+            .chain(self.mice.iter().map(|m| (m.src, m.dst)))
+            .chain(self.probes.iter().copied())
+            .collect();
         if let Some(inc) = &self.incast {
-            mark(inc.aggregator);
-            // A probing (load-aware) aggregator may pick replicas from the
-            // whole server pool, so every server can see traffic.
-            if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                for w in 0..n_servers {
-                    mark(w);
-                }
+            let workers = if self.scheme.picks_replicas() {
+                (0..n_servers).collect()
             } else {
-                for w in patterns::incast_senders(n_servers, inc.aggregator, inc.fanout) {
-                    mark(w);
-                }
-            }
+                patterns::incast_senders(n_servers, inc.aggregator, inc.fanout)
+            };
+            pairs.extend(workers.into_iter().map(|w| (w, inc.aggregator)));
         }
         if let Some(ar) = &self.allreduce {
-            for (src, dst) in patterns::ring(ar.participants) {
-                mark(src);
-                mark(dst);
+            pairs.extend(patterns::ring(ar.participants));
+        }
+        Some(pairs)
+    }
+
+    /// Server hosts that send or receive anything in this scenario, or
+    /// `None` when every server does. Drives the scoped forwarding-state
+    /// installs: on an 8192-host fabric with a sparse workload, routing
+    /// and label state is only materialized for the hosts that will ever
+    /// see a packet.
+    fn active_servers(pairs: &[(usize, usize)], n_servers: usize) -> Option<Vec<bool>> {
+        let mut active = vec![false; n_servers];
+        for &(src, dst) in pairs {
+            // WAN-remote indices sit past the servers; their routing is
+            // installed by the attach step, not the basic install.
+            for h in [src, dst] {
+                if h < n_servers {
+                    active[h] = true;
+                }
             }
         }
         if active.iter().all(|&a| a) {
@@ -391,7 +371,8 @@ impl Scenario {
     /// and custom drivers.
     pub fn build(&self) -> Simulation {
         let n_servers = self.n_servers();
-        let active = self.active_servers();
+        let pairs = self.host_pairs();
+        let active = (pairs.as_deref()).and_then(|p| Self::active_servers(p, n_servers));
         // 1. Topology.
         let mut topo = if self.scheme.single_switch {
             Topology::single_switch(
@@ -477,38 +458,10 @@ impl Scenario {
         let peers: Option<Vec<Vec<usize>>> = active.as_ref().map(|_| {
             let mut sets: Vec<std::collections::BTreeSet<usize>> =
                 vec![Default::default(); topo.host_count()];
-            let mut link = |a: usize, b: usize| {
+            for &(a, b) in pairs.iter().flatten() {
                 if a < sets.len() && b < sets.len() && a != b {
                     sets[a].insert(b);
                     sets[b].insert(a);
-                }
-            };
-            for f in &self.flows {
-                link(f.src, f.dst);
-            }
-            for m in &self.mice {
-                link(m.src, m.dst);
-            }
-            for &(src, dst) in &self.probes {
-                link(src, dst);
-            }
-            if let Some(inc) = &self.incast {
-                // Mirror `active_servers`: a probing aggregator may select
-                // any server as a replica, so labels must exist for every
-                // (server, aggregator) pair.
-                if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                    for w in 0..n_servers {
-                        link(w, inc.aggregator);
-                    }
-                } else {
-                    for w in patterns::incast_senders(n_servers, inc.aggregator, inc.fanout) {
-                        link(w, inc.aggregator);
-                    }
-                }
-            }
-            if let Some(ar) = &self.allreduce {
-                for (src, dst) in patterns::ring(ar.participants) {
-                    link(src, dst);
                 }
             }
             sets.into_iter().map(|s| s.into_iter().collect()).collect()
@@ -579,7 +532,6 @@ impl Scenario {
         let end = SimTime::ZERO + self.duration;
         let warm = SimTime::ZERO + self.warmup;
         let mut sim = Simulation::new(topo, self.scheme.clone(), mk_host, end, warm);
-        sim.topo.fabric.set_tx_batch(self.tx_batch);
         sim.controller = controller;
         sim.label_pairs = label_sets
             .iter()
@@ -591,80 +543,24 @@ impl Scenario {
             sim.enable_telemetry(cfg);
         }
 
-        // 8. Applications.
-        for spec in &self.flows {
-            let idx = sim.pending_flows.len();
-            sim.pending_flows.push(PendingFlow {
-                src: spec.src,
-                dst: spec.dst,
-                bytes: spec.bytes,
-                measure_fct: spec.measure_fct,
-                tag: FlowTag::Plain,
-            });
-            sim.schedule(spec.start, Event::FlowStart(idx));
-        }
-        for (i, m) in self.mice.iter().enumerate() {
-            sim.mice_series.push(MiceSeries {
-                src: m.src,
-                dst: m.dst,
-                bytes: m.bytes,
-                interval: m.interval,
-            });
-            // Stagger series starts across one interval.
-            let offset = m.interval.mul_f64((i % 16) as f64 / 16.0);
-            sim.schedule(SimTime::ZERO + m.interval + offset, Event::MiceNext(i));
-        }
+        // 8. Applications. Each joins with its start hook, and this order
+        // (flows, mice, pingers, shuffle, incast, allreduce) is the
+        // event-queue push order every pinned digest encodes.
+        sim.add_app(Box::new(StaticFlows::new(self.flows.clone())));
+        sim.add_app(Box::new(Mice::new(self.mice.clone())));
         for (i, &(src, dst)) in self.probes.iter().enumerate() {
             let offset = self.probe_interval.mul_f64((i % 16) as f64 / 16.0);
             sim.add_pinger(src, dst, self.probe_interval, SimTime::ZERO + offset);
         }
-        if let Some(sh) = &self.shuffle {
-            let mut rng = DetRng::new(self.seed ^ 0x5F);
-            let orders = patterns::shuffle_orders(n_servers, &mut rng);
-            sim.shuffle = Some(ShuffleState {
-                orders,
-                pos: vec![0; n_servers],
-                active: vec![0; n_servers],
-                concurrency: sh.concurrency,
-                bytes: sh.bytes,
-                tputs: Vec::new(),
-            });
-            for src in 0..n_servers {
-                sim.schedule(SimTime::ZERO, Event::ShuffleMore(src));
-            }
+        if let Some(sh) = self.shuffle {
+            sim.add_app(Box::new(Shuffle::new(sh, n_servers, self.seed)));
         }
-        if let Some(inc) = &self.incast {
-            let senders = patterns::incast_senders(n_servers, inc.aggregator, inc.fanout);
-            // Load-oblivious schemes always use the static sender set; a
-            // probing aggregator chooses `fanout` replicas per request
-            // from the whole server pool.
-            let candidates = if matches!(self.scheme.policy, PolicyKind::Prequal(_)) {
-                (0..n_servers).filter(|&w| w != inc.aggregator).collect()
-            } else {
-                senders.clone()
-            };
-            sim.incast = Some(IncastState {
-                aggregator: inc.aggregator,
-                senders,
-                candidates,
-                bytes_per_worker: inc.bytes_per_worker,
-                interval: inc.interval,
-                deadline: inc.deadline,
-                requests: Vec::new(),
-                tracker: Default::default(),
-            });
-            sim.schedule(SimTime::ZERO, Event::IncastNext);
+        if let Some(inc) = self.incast {
+            let picks = self.scheme.picks_replicas();
+            sim.add_app(Box::new(Incast::new(inc, n_servers, picks)));
         }
-        if let Some(ar) = &self.allreduce {
-            sim.allreduce = Some(AllreduceState {
-                ring: patterns::ring(ar.participants),
-                bytes: ar.bytes,
-                outstanding: 0,
-                round_start: SimTime::ZERO,
-                rounds_completed: 0,
-                round_ms: Vec::new(),
-            });
-            sim.schedule(SimTime::ZERO, Event::AllreduceRound);
+        if let Some(ar) = self.allreduce {
+            sim.add_app(Box::new(Allreduce::new(ar)));
         }
 
         // 9. Fault timeline: expand flap processes from the scenario seed,

@@ -12,9 +12,9 @@ use presto_simcore::SimDuration;
 ///
 /// Marked `#[non_exhaustive]`: the arena grows (see `registry`), so
 /// downstream matches must carry a wildcard arm. The canonical text form
-/// of every variant lives in [`PolicyKind::name`] with [`PolicyKind::parse`]
-/// as its inverse — `canon.rs` and the TOML axis parser both delegate
-/// here, making this pair the single source of truth.
+/// of every variant lives in [`PolicyKind::name`], which `canon.rs`
+/// embeds in scenario fingerprints. Campaigns name schemes by registry
+/// token (`registry::SCHEMES`), never by this text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PolicyKind {
@@ -74,40 +74,6 @@ impl PolicyKind {
             ),
         }
     }
-
-    /// Parse the canonical text form back into a policy — the exact
-    /// inverse of [`PolicyKind::name`].
-    pub fn parse(s: &str) -> Option<PolicyKind> {
-        let (head, arg) = match s.split_once(':') {
-            Some((h, a)) => (h, Some(a)),
-            None => (s, None),
-        };
-        let num = |a: Option<&str>| a.and_then(|a| a.parse::<u64>().ok());
-        match (head, arg) {
-            ("direct", None) => Some(PolicyKind::Direct),
-            ("presto", None) => Some(PolicyKind::Presto),
-            ("ecmp", None) => Some(PolicyKind::Ecmp),
-            ("perpacket", None) => Some(PolicyKind::PerPacket),
-            ("presto-ecmp", None) => Some(PolicyKind::PrestoEcmp),
-            ("flowlet", a) => Some(PolicyKind::Flowlet(SimDuration::from_nanos(num(a)?))),
-            ("flowdyn", a) => Some(PolicyKind::FlowDyn(SimDuration::from_nanos(num(a)?))),
-            ("diffflow", a) => Some(PolicyKind::DiffFlow(num(a)?)),
-            ("sprinklers", a) => Some(PolicyKind::Sprinklers(num(a)?)),
-            ("caft", a) => Some(PolicyKind::Caft(SimDuration::from_nanos(num(a)?))),
-            ("prequal", a) => {
-                let mut it = a?.splitn(3, ':');
-                let every = it.next()?.parse::<u64>().ok()?;
-                let pool = it.next()?.parse::<usize>().ok()?;
-                let staleness = it.next()?.parse::<u64>().ok()?;
-                Some(PolicyKind::Prequal(presto_probe::ProbeParams {
-                    every: SimDuration::from_nanos(every),
-                    pool,
-                    staleness: SimDuration::from_nanos(staleness),
-                }))
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Receive-offload engine at every host.
@@ -144,18 +110,6 @@ impl TransportKind {
         match self {
             TransportKind::Tcp => "tcp".into(),
             TransportKind::Mptcp { subflows } => format!("mptcp:{subflows}"),
-        }
-    }
-
-    /// Parse the canonical text form back — the exact inverse of
-    /// [`TransportKind::name`].
-    pub fn parse(s: &str) -> Option<TransportKind> {
-        match s.split_once(':') {
-            None if s == "tcp" => Some(TransportKind::Tcp),
-            Some(("mptcp", n)) => Some(TransportKind::Mptcp {
-                subflows: n.parse().ok()?,
-            }),
-            _ => None,
         }
     }
 }
@@ -368,6 +322,13 @@ impl SchemeSpec {
     pub fn needs_controller(&self) -> bool {
         !self.single_switch && self.policy != PolicyKind::PrestoEcmp
     }
+
+    /// Whether the edge policy probes receiver load and picks incast
+    /// replicas itself, so an aggregator may draw responders from every
+    /// server rather than a fixed set.
+    pub fn picks_replicas(&self) -> bool {
+        matches!(self.policy, PolicyKind::Prequal(_))
+    }
 }
 
 #[cfg(test)]
@@ -415,7 +376,9 @@ mod tests {
     }
 
     #[test]
-    fn policy_name_parse_round_trips() {
+    fn policy_names_are_pairwise_distinct() {
+        // Distinct policies must never share canonical text, or two
+        // different runs would share one fingerprint.
         let kinds = [
             PolicyKind::Direct,
             PolicyKind::Presto,
@@ -434,8 +397,10 @@ mod tests {
                 staleness: SimDuration::from_micros(400),
             }),
         ];
-        for k in kinds {
-            assert_eq!(PolicyKind::parse(&k.name()), Some(k), "{}", k.name());
+        for (i, a) in kinds.iter().enumerate() {
+            for b in &kinds[i + 1..] {
+                assert_ne!(a.name(), b.name(), "{a:?} and {b:?}");
+            }
         }
     }
 
@@ -469,33 +434,20 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_garbage() {
-        assert_eq!(PolicyKind::parse(""), None);
-        assert_eq!(PolicyKind::parse("presto:1"), None);
-        assert_eq!(PolicyKind::parse("flowlet"), None);
-        assert_eq!(PolicyKind::parse("flowlet:abc"), None);
-        assert_eq!(PolicyKind::parse("warp-drive"), None);
-        assert_eq!(PolicyKind::parse("prequal"), None);
-        assert_eq!(PolicyKind::parse("prequal:100000"), None);
-        assert_eq!(PolicyKind::parse("prequal:100000:32"), None);
-        assert_eq!(PolicyKind::parse("prequal:100000:32:1:9"), None);
-    }
-
-    #[test]
-    fn transport_name_parse_round_trips() {
-        for t in [
+    fn transport_names_are_pinned_and_pairwise_distinct() {
+        let kinds = [
             TransportKind::Tcp,
             TransportKind::Mptcp { subflows: 8 },
             TransportKind::Mptcp { subflows: 2 },
-        ] {
-            assert_eq!(TransportKind::parse(&t.name()), Some(t), "{}", t.name());
+        ];
+        for (i, a) in kinds.iter().enumerate() {
+            for b in &kinds[i + 1..] {
+                assert_ne!(a.name(), b.name(), "{a:?} and {b:?}");
+            }
         }
         // Pinned strings: canonical scenario text embeds them.
         assert_eq!(TransportKind::Tcp.name(), "tcp");
         assert_eq!(TransportKind::Mptcp { subflows: 8 }.name(), "mptcp:8");
-        assert_eq!(TransportKind::parse("tcp:1"), None);
-        assert_eq!(TransportKind::parse("mptcp"), None);
-        assert_eq!(TransportKind::parse("sctp"), None);
     }
 
     #[test]

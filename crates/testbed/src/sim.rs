@@ -2,7 +2,7 @@
 //!
 //! One [`Simulation`] owns the fabric, every host's soft edge (vSwitch →
 //! NIC TSO on transmit; rx ring → GRO → CPU → TCP on receive), all
-//! transport state, the applications (elephants, mice, probes, shuffle),
+//! transport state, the RTT pingers, the workload apps (`apps.rs`)
 //! and the experiment timeline (warmup, failures, controller updates).
 //!
 //! The receive chain mirrors §2.2 of the paper exactly:
@@ -34,25 +34,13 @@ use presto_transport::{
     CongestionControl, Cubic, MptcpConnection, SenderOutput, TcpConfig, TcpReceiver, TcpSender,
 };
 
+use crate::apps::{Actions, App, AppCtx, FlowTag, NewFlow};
 use crate::report::{ooo_cell_counts, Report};
 use crate::scheme::{SchemeSpec, TransportKind};
 
 /// Extra per-packet CPU charged by Presto's GRO bookkeeping — calibrated
 /// so the overall overhead lands near the paper's +6% (Fig 6).
 pub const PRESTO_GRO_EXTRA: SimDuration = SimDuration::from_nanos(75);
-
-/// Which application a flow belongs to, for completion bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlowTag {
-    /// A standalone flow (elephant, mouse, trace replay).
-    Plain,
-    /// A shuffle transfer from source host `src`.
-    Shuffle(usize),
-    /// A worker response belonging to incast request `req`.
-    Incast(usize),
-    /// One neighbor transfer of the current allreduce round.
-    Allreduce,
-}
 
 /// Which sender state machine a flow belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,10 +69,8 @@ pub enum Event {
     CpuDone(HostId, Segment),
     /// TCP retransmission timer.
     Rto(SenderRef, u64),
-    /// Start pending flow `i`.
-    FlowStart(usize),
-    /// Launch the next mouse of series `i`.
-    MiceNext(usize),
+    /// Timer `token` of app `app` fired.
+    App(u32, u32),
     /// Send the next probe of pinger `i`.
     ProbeSend(usize),
     /// Sample CPU utilization.
@@ -95,8 +81,6 @@ pub enum Event {
     Fault(usize),
     /// Controller learned of fault `i`: re-weight and redistribute labels.
     ControllerNotify(usize),
-    /// Try to start more shuffle transfers from `src`.
-    ShuffleMore(usize),
     /// Host egress scheduler: move staged segments onto the uplink.
     EgressDrain(HostId),
     /// Sample per-tree path signals and deliver them to feedback-driven
@@ -104,10 +88,6 @@ pub enum Event {
     /// advertises an [`EdgePolicy::feedback_interval`], so schemes that
     /// don't opt in see an unchanged event stream (and digest).
     PathFeedback,
-    /// Issue the next partition-aggregate incast request wave.
-    IncastNext,
-    /// Start the next synchronized ring-allreduce round.
-    AllreduceRound,
     /// Probe a window of destination hosts for load signals and deliver
     /// them to load-aware edge policies. Only ever scheduled when the
     /// scheme's policy advertises [`EdgePolicy::probe_params`], so schemes
@@ -124,18 +104,14 @@ pub const EVENT_NAMES: &[&str] = &[
     "GroTimer",
     "CpuDone",
     "Rto",
-    "FlowStart",
-    "MiceNext",
+    "App",
     "ProbeSend",
     "CpuSample",
     "WarmupMark",
     "Fault",
     "ControllerNotify",
-    "ShuffleMore",
     "EgressDrain",
     "PathFeedback",
-    "IncastNext",
-    "AllreduceRound",
     "ProbeRound",
 ];
 
@@ -147,19 +123,15 @@ pub fn classify_event(ev: &Event) -> usize {
         Event::GroTimer(_) => 2,
         Event::CpuDone(..) => 3,
         Event::Rto(..) => 4,
-        Event::FlowStart(_) => 5,
-        Event::MiceNext(_) => 6,
-        Event::ProbeSend(_) => 7,
-        Event::CpuSample => 8,
-        Event::WarmupMark => 9,
-        Event::Fault(_) => 10,
-        Event::ControllerNotify(_) => 11,
-        Event::ShuffleMore(_) => 12,
-        Event::EgressDrain(_) => 13,
-        Event::PathFeedback => 14,
-        Event::IncastNext => 15,
-        Event::AllreduceRound => 16,
-        Event::ProbeRound => 17,
+        Event::App(..) => 5,
+        Event::ProbeSend(_) => 6,
+        Event::CpuSample => 7,
+        Event::WarmupMark => 8,
+        Event::Fault(_) => 9,
+        Event::ControllerNotify(_) => 10,
+        Event::EgressDrain(_) => 11,
+        Event::PathFeedback => 12,
+        Event::ProbeRound => 13,
     }
 }
 
@@ -294,8 +266,6 @@ pub struct MptcpConnState {
     pub warm_acked: u64,
     /// Unbounded elephant?
     pub unbounded: bool,
-    /// Total bytes for bounded connections.
-    pub bytes: u64,
     /// Owning application, for completion bookkeeping.
     pub tag: FlowTag,
 }
@@ -307,97 +277,6 @@ pub struct Pinger {
     interval: SimDuration,
     outstanding: FxHashMap<u64, SimTime>,
     next_id: u64,
-}
-
-/// A "mice every 100 ms" series (§4).
-pub struct MiceSeries {
-    /// Sender host index.
-    pub src: usize,
-    /// Receiver host index.
-    pub dst: usize,
-    /// Bytes per mouse.
-    pub bytes: u64,
-    /// Launch interval.
-    pub interval: SimDuration,
-}
-
-/// A flow awaiting its start event.
-pub struct PendingFlow {
-    /// Sender host index.
-    pub src: usize,
-    /// Receiver host index.
-    pub dst: usize,
-    /// `None` = unbounded elephant.
-    pub bytes: Option<u64>,
-    /// Record FCT on completion.
-    pub measure_fct: bool,
-    /// Owning application, for completion bookkeeping.
-    pub tag: FlowTag,
-}
-
-/// Shuffle workload state: per-source destination queues.
-pub struct ShuffleState {
-    /// Destination order per source; consumed via [`ShuffleState::pos`]
-    /// rather than `remove(0)` so starting a transfer is O(1).
-    pub orders: Vec<Vec<usize>>,
-    /// Next unstarted index into `orders[src]`, per source.
-    pub pos: Vec<usize>,
-    /// Transfers in flight per source.
-    pub active: Vec<usize>,
-    /// Max concurrent transfers per source (paper: 2).
-    pub concurrency: usize,
-    /// Bytes per transfer.
-    pub bytes: u64,
-    /// Completed transfer throughputs (Gbps).
-    pub tputs: Vec<f64>,
-}
-
-/// Partition-aggregate incast state: every [`Event::IncastNext`] issues a
-/// request — all `senders` simultaneously answer the aggregator with
-/// `bytes_per_worker` — and the request completes when its last response
-/// lands, holding the elapsed time against `deadline`.
-pub struct IncastState {
-    /// Receiving (aggregator) host.
-    pub aggregator: usize,
-    /// Responding worker hosts.
-    pub senders: Vec<usize>,
-    /// Eligible responder hosts offered to the aggregator policy's
-    /// [`EdgePolicy::select_replicas`] hook each wave. For load-oblivious
-    /// policies this equals `senders`, and because the hook then returns
-    /// `None` the wave falls back to `senders` verbatim — the pre-probe
-    /// behaviour. Load-aware schemes get every server except the
-    /// aggregator to choose cold responders from.
-    pub candidates: Vec<usize>,
-    /// Response size per worker, bytes.
-    pub bytes_per_worker: u64,
-    /// Request issue interval.
-    pub interval: SimDuration,
-    /// Per-request completion deadline.
-    pub deadline: SimDuration,
-    /// Per-request `(issued_at, responses outstanding)`, indexed by the
-    /// request id carried in [`FlowTag::Incast`].
-    pub requests: Vec<(SimTime, usize)>,
-    /// Deadline accounting for requests issued after warmup.
-    pub tracker: presto_metrics::DeadlineTracker,
-}
-
-/// Ring-allreduce state: each round, every ring member streams `bytes` to
-/// its clockwise neighbor; the round ends when the last transfer
-/// completes, immediately starting the next (synchronized elephant
-/// rounds).
-pub struct AllreduceState {
-    /// `(src, dst)` transfer pairs of one round.
-    pub ring: Vec<(usize, usize)>,
-    /// Bytes per member per round.
-    pub bytes: u64,
-    /// Transfers outstanding in the current round.
-    pub outstanding: usize,
-    /// When the current round started.
-    pub round_start: SimTime,
-    /// Rounds completed over the whole run (including warmup).
-    pub rounds_completed: u64,
-    /// Post-warmup round durations, milliseconds.
-    pub round_ms: Vec<f64>,
 }
 
 /// Live statistics accumulated during a run.
@@ -419,8 +298,6 @@ pub struct Stats {
     pub cpu_util: HashMap<u32, TimeSeries>,
     /// Rx ring overflow drops.
     pub ring_drops: u64,
-    /// Goodputs of completed bounded elephant transfers (Gbps).
-    pub bulk_tputs: Vec<f64>,
 }
 
 /// One concrete link-level action a resolved fault applies to the fabric.
@@ -600,16 +477,8 @@ pub struct Simulation {
     /// RTT probers.
     pub pingers: Vec<Pinger>,
     probe_flows: FxHashMap<FlowKey, usize>,
-    /// Flows awaiting their start event.
-    pub pending_flows: Vec<PendingFlow>,
-    /// Mice series.
-    pub mice_series: Vec<MiceSeries>,
-    /// Shuffle state, if the workload is a shuffle.
-    pub shuffle: Option<ShuffleState>,
-    /// Incast state, if the workload is a partition-aggregate incast.
-    pub incast: Option<IncastState>,
-    /// Allreduce state, if the workload is a ring allreduce.
-    pub allreduce: Option<AllreduceState>,
+    /// Workload apps, indexed by [`FlowTag::app`] and [`Event::App`].
+    apps: Vec<Box<dyn App>>,
     sports: FxHashMap<(u32, u32), u16>,
     /// Scheme in force.
     pub scheme: SchemeSpec,
@@ -711,11 +580,7 @@ impl Simulation {
             receivers: FxHashMap::default(),
             pingers: Vec::new(),
             probe_flows: FxHashMap::default(),
-            pending_flows: Vec::new(),
-            mice_series: Vec::new(),
-            shuffle: None,
-            incast: None,
-            allreduce: None,
+            apps: Vec::new(),
             sports: FxHashMap::default(),
             scheme,
             controller: None,
@@ -741,9 +606,30 @@ impl Simulation {
         sim
     }
 
-    /// Schedule an event at an absolute time.
-    pub fn schedule(&mut self, at: SimTime, ev: Event) {
-        self.queue.push(at, ev);
+    /// Add a workload app and apply its start hook.
+    pub(crate) fn add_app(&mut self, app: Box<dyn App>) {
+        let id = self.apps.len() as u32;
+        self.apps.push(app);
+        self.run_app(id, |app, cx| app.start(cx));
+    }
+
+    /// Run one hook of app `id`, then apply what it returned: start its
+    /// flows, then arm its timers, each in order.
+    fn run_app(&mut self, id: u32, hook: impl FnOnce(&mut dyn App, &mut AppCtx) -> Actions) {
+        let mut cx = AppCtx {
+            now: self.now,
+            warmup: self.warmup,
+            end: self.end,
+            host_ids: &self.topo.hosts,
+            hosts: &mut self.hosts,
+        };
+        let acts = hook(self.apps[id as usize].as_mut(), &mut cx);
+        for flow in acts.flows {
+            self.start_flow(id, flow);
+        }
+        for (at, token) in acts.timers {
+            self.queue.push(at, Event::App(id, token));
+        }
     }
 
     /// Append a resolved fault to the timeline and schedule its fabric
@@ -853,15 +739,17 @@ impl Simulation {
         p
     }
 
-    /// Create (and start) a connection per the scheme's transport.
-    pub fn start_flow(
-        &mut self,
-        src: usize,
-        dst: usize,
-        bytes: Option<u64>,
-        measure_fct: bool,
-        tag: FlowTag,
-    ) {
+    /// Create (and start) a connection per the scheme's transport for a
+    /// flow of app `app`.
+    fn start_flow(&mut self, app: u32, flow: NewFlow) {
+        let NewFlow {
+            src,
+            dst,
+            bytes,
+            measure_fct,
+            token,
+        } = flow;
+        let tag = FlowTag { app, token };
         match self.scheme.transport {
             TransportKind::Tcp => {
                 let sport = self.alloc_sport(src as u32, dst as u32, 1);
@@ -921,7 +809,6 @@ impl Simulation {
                     done_at: None,
                     warm_acked: 0,
                     unbounded: bytes.is_none(),
-                    bytes: bytes.unwrap_or(0),
                     tag,
                 });
                 for (i, out) in outs.into_iter().enumerate() {
@@ -1057,14 +944,14 @@ impl Simulation {
     }
 
     fn on_flow_complete(&mut self, sref: SenderRef) {
-        let (start, measure, tag, bytes) = match sref {
+        let (start, measure, tag) = match sref {
             SenderRef::Tcp(i) => {
                 let c = &mut self.tcp_conns[i];
                 if c.done_at.is_some() {
                     return;
                 }
                 c.done_at = Some(self.now);
-                (c.start, c.measure_fct, c.tag, c.bytes)
+                (c.start, c.measure_fct, c.tag)
             }
             SenderRef::Mptcp { conn, .. } => {
                 let c = &mut self.mptcp_conns[conn];
@@ -1072,7 +959,7 @@ impl Simulation {
                     return;
                 }
                 c.done_at = Some(self.now);
-                (c.start, c.measure_fct, c.tag, c.bytes)
+                (c.start, c.measure_fct, c.tag)
             }
         };
         if measure && start >= self.warmup {
@@ -1080,126 +967,7 @@ impl Simulation {
                 .mice_fct_ms
                 .push(self.now.saturating_since(start).as_millis_f64());
         }
-        match tag {
-            FlowTag::Shuffle(src) => {
-                let dur = self.now.saturating_since(start).as_secs_f64();
-                if let Some(sh) = &mut self.shuffle {
-                    if dur > 0.0 {
-                        sh.tputs.push(bytes as f64 * 8.0 / dur / 1e9);
-                    }
-                    sh.active[src] -= 1;
-                }
-                self.queue.push(self.now, Event::ShuffleMore(src));
-            }
-            FlowTag::Incast(req) => self.on_incast_response_done(req),
-            FlowTag::Allreduce => self.on_allreduce_transfer_done(),
-            FlowTag::Plain => {
-                if !measure && bytes >= 1_000_000 && start >= self.warmup {
-                    // A bounded elephant (trace-driven workload): record
-                    // its goodput.
-                    let dur = self.now.saturating_since(start).as_secs_f64();
-                    if dur > 0.0 {
-                        self.stats.bulk_tputs.push(bytes as f64 * 8.0 / dur / 1e9);
-                    }
-                }
-            }
-        }
-    }
-
-    /// One incast response landed: close its request when it was the last,
-    /// holding the elapsed time against the deadline (post-warmup issues
-    /// only).
-    fn on_incast_response_done(&mut self, req: usize) {
-        let now = self.now;
-        let warm = self.warmup;
-        let Some(inc) = &mut self.incast else { return };
-        let (issued, remaining) = &mut inc.requests[req];
-        *remaining -= 1;
-        if *remaining == 0 {
-            let issued = *issued;
-            if issued >= warm {
-                let elapsed = now.saturating_since(issued).as_millis_f64();
-                inc.tracker.record(elapsed, inc.deadline.as_millis_f64());
-            }
-        }
-    }
-
-    /// One allreduce neighbor transfer finished: when it was the round's
-    /// last, record the round time (post-warmup rounds) and kick off the
-    /// next synchronized round.
-    fn on_allreduce_transfer_done(&mut self) {
-        let now = self.now;
-        let warm = self.warmup;
-        let mut next_round = false;
-        if let Some(ar) = &mut self.allreduce {
-            ar.outstanding -= 1;
-            if ar.outstanding == 0 {
-                ar.rounds_completed += 1;
-                if ar.round_start >= warm {
-                    ar.round_ms
-                        .push(now.saturating_since(ar.round_start).as_millis_f64());
-                }
-                next_round = now < self.end;
-            }
-        }
-        if next_round {
-            self.queue.push(now, Event::AllreduceRound);
-        }
-    }
-
-    /// Issue one incast request: every chosen worker simultaneously
-    /// answers the aggregator with `bytes_per_worker`. The aggregator's
-    /// edge policy gets first refusal on the responder set via
-    /// [`EdgePolicy::select_replicas`]; the default `None` keeps the
-    /// static `senders` list, so load-oblivious schemes issue exactly the
-    /// waves they always did.
-    fn on_incast_next(&mut self) {
-        let now = self.now;
-        let (dst, fanout, candidates, interval) = {
-            let Some(inc) = &self.incast else { return };
-            (
-                inc.aggregator,
-                inc.senders.len(),
-                inc.candidates.clone(),
-                inc.interval,
-            )
-        };
-        let cand_ids: Vec<HostId> = candidates.iter().map(|&c| self.topo.hosts[c]).collect();
-        let chosen = self.hosts[self.topo.hosts[dst].index()]
-            .vswitch
-            .policy_mut()
-            .select_replicas(now, &cand_ids, fanout)
-            .map(|hs| hs.into_iter().map(|h| h.index()).collect::<Vec<_>>());
-        let (req, senders, bytes) = {
-            let Some(inc) = &mut self.incast else { return };
-            let senders = chosen.unwrap_or_else(|| inc.senders.clone());
-            let req = inc.requests.len();
-            inc.requests.push((now, senders.len()));
-            (req, senders, inc.bytes_per_worker)
-        };
-        for src in senders {
-            self.start_flow(src, dst, Some(bytes), true, FlowTag::Incast(req));
-        }
-        let next = now + interval;
-        if next < self.end {
-            self.queue.push(next, Event::IncastNext);
-        }
-    }
-
-    /// Start one allreduce round: every ring member streams its chunk to
-    /// its clockwise neighbor.
-    fn on_allreduce_round(&mut self) {
-        let (ring, bytes) = {
-            let Some(ar) = &mut self.allreduce else {
-                return;
-            };
-            ar.round_start = self.now;
-            ar.outstanding = ar.ring.len();
-            (ar.ring.clone(), ar.bytes)
-        };
-        for (src, dst) in ring {
-            self.start_flow(src, dst, Some(bytes), false, FlowTag::Allreduce);
-        }
+        self.run_app(tag.app, |app, cx| app.on_flow_done(tag.token, start, cx));
     }
 
     /// Run until the simulated end time; returns the report.
@@ -1268,35 +1036,17 @@ impl Simulation {
                 };
                 self.emit(sref, flow, out);
             }
-            Event::FlowStart(i) => {
-                let p = &self.pending_flows[i];
-                let (src, dst, bytes, mfct, tag) = (p.src, p.dst, p.bytes, p.measure_fct, p.tag);
-                self.start_flow(src, dst, bytes, mfct, tag);
-            }
-            Event::MiceNext(i) => {
-                let (src, dst, bytes, interval) = {
-                    let m = &self.mice_series[i];
-                    (m.src, m.dst, m.bytes, m.interval)
-                };
-                self.start_flow(src, dst, Some(bytes), true, FlowTag::Plain);
-                let next = self.now + interval;
-                if next < self.end {
-                    self.queue.push(next, Event::MiceNext(i));
-                }
-            }
+            Event::App(app, token) => self.run_app(app, |a, cx| a.on_timer(token, cx)),
             Event::ProbeSend(i) => self.on_probe_send(i),
             Event::CpuSample => self.on_cpu_sample(),
             Event::WarmupMark => self.on_warmup(),
             Event::Fault(i) => self.on_fault(i),
             Event::ControllerNotify(i) => self.on_controller_notify(i),
-            Event::ShuffleMore(src) => self.on_shuffle_more(src),
             Event::EgressDrain(h) => {
                 self.hosts[h.index()].egress.drain_at = None;
                 self.drain_egress(h);
             }
             Event::PathFeedback => self.on_path_feedback(),
-            Event::IncastNext => self.on_incast_next(),
-            Event::AllreduceRound => self.on_allreduce_round(),
             Event::ProbeRound => self.on_probe_round(),
         }
     }
@@ -1857,22 +1607,6 @@ impl Simulation {
         }
     }
 
-    fn on_shuffle_more(&mut self, src: usize) {
-        loop {
-            let (dst, bytes) = {
-                let Some(sh) = &mut self.shuffle else { return };
-                if sh.active[src] >= sh.concurrency || sh.pos[src] >= sh.orders[src].len() {
-                    return;
-                }
-                sh.active[src] += 1;
-                let dst = sh.orders[src][sh.pos[src]];
-                sh.pos[src] += 1;
-                (dst, sh.bytes)
-            };
-            self.start_flow(src, dst, Some(bytes), false, FlowTag::Shuffle(src));
-        }
-    }
-
     /// Finalize: gather statistics into a [`Report`].
     fn finish(&mut self) -> Report {
         if let Some(st) = self.stage.take() {
@@ -1908,12 +1642,11 @@ impl Simulation {
             report.retransmissions += c.conn.retransmissions();
             report.timeouts += c.conn.timeouts();
         }
-        if let Some(sh) = &self.shuffle {
-            report.elephant_tputs.extend(sh.tputs.iter().copied());
+        // Reverse order of joining keeps `elephant_tputs` in its pinned
+        // order (see `App::report`).
+        for app in self.apps.iter().rev() {
+            app.report(&mut report);
         }
-        report
-            .elephant_tputs
-            .extend(self.stats.bulk_tputs.iter().copied());
         for v in &self.stats.rtt_ms {
             report.rtt_ms.add(*v);
         }
@@ -1960,19 +1693,6 @@ impl Simulation {
         }
         for link in self.topo.fabric.links() {
             report.ce_marked_packets += link.counters.ce_marked_packets;
-        }
-        if let Some(inc) = &self.incast {
-            report.incast_requests = inc.tracker.total();
-            report.incast_deadline_misses = inc.tracker.misses();
-            for &v in inc.tracker.elapsed_ms() {
-                report.incast_request_ms.add(v);
-            }
-        }
-        if let Some(ar) = &self.allreduce {
-            report.allreduce_rounds = ar.rounds_completed;
-            for &v in &ar.round_ms {
-                report.allreduce_round_ms.add(v);
-            }
         }
         report.probe_rounds = self.probe_rounds;
         if self.probe_rounds != 0 {

@@ -9,7 +9,7 @@
 
 use presto::prelude::*;
 use presto::workloads::FlowSpec;
-use presto_testbed::MiceSpec;
+use presto_testbed::{AllreduceSpec, IncastSpec, MiceSpec, ShuffleSpec};
 
 fn flows_l1_l4() -> Vec<FlowSpec> {
     (0..4)
@@ -152,5 +152,70 @@ fn three_tier_pods4_digest_is_unchanged() {
             )
             .build(),
         0x757c8748ca149967,
+    );
+}
+
+/// A shuffle next to a mice series and one bounded bulk transfer that
+/// starts after warmup: pins shuffle scheduling, its transfer goodputs and
+/// their order against the bulk goodput in `elephant_tputs`.
+#[test]
+fn shuffle_with_mice_and_bulk_digest_is_unchanged() {
+    assert_digest(
+        "shuffle_with_mice_and_bulk",
+        Scenario::builder(SchemeSpec::presto(), 17)
+            .duration(SimDuration::from_millis(20))
+            .warmup(SimDuration::from_millis(5))
+            .shuffle(ShuffleSpec {
+                bytes: 2_000_000,
+                concurrency: 2,
+            })
+            .mice(vec![MiceSpec {
+                src: 2,
+                dst: 13,
+                bytes: 50_000,
+                interval: SimDuration::from_millis(2),
+            }])
+            .flows(vec![FlowSpec::bulk(
+                5,
+                10,
+                SimTime::from_millis(6),
+                2_000_000,
+            )])
+            .build(),
+        0x7f07e5cb64d2cfcc,
+    );
+}
+
+/// Every flow-driving workload in one run: elephants, mice, a pinger,
+/// incast and allreduce share the fabric, so their timers and completions
+/// interleave in one event queue.
+#[test]
+fn mixed_workloads_digest_is_unchanged() {
+    assert_digest(
+        "mixed_workloads",
+        Scenario::builder(SchemeSpec::ecmp(), 29)
+            .duration(SimDuration::from_millis(20))
+            .warmup(SimDuration::from_millis(5))
+            .elephants(flows_l1_l4())
+            .mice(vec![MiceSpec {
+                src: 6,
+                dst: 11,
+                bytes: 50_000,
+                interval: SimDuration::from_millis(2),
+            }])
+            .probes(vec![(7, 14)])
+            .incast(IncastSpec {
+                aggregator: 15,
+                fanout: 6,
+                bytes_per_worker: 20_000,
+                interval: SimDuration::from_millis(2),
+                deadline: SimDuration::from_millis(1),
+            })
+            .allreduce(AllreduceSpec {
+                participants: 4,
+                bytes: 200_000,
+            })
+            .build(),
+        0x93dae73e96e5a14c,
     );
 }
